@@ -160,41 +160,6 @@ type GameResult struct {
 	HaltedEarly bool
 }
 
-// MeanErr returns the average per-query error of the transcript (0 for an
-// empty transcript).
-func (r *GameResult) MeanErr() float64 {
-	if len(r.Transcript) == 0 {
-		return 0
-	}
-	var s float64
-	for _, ex := range r.Transcript {
-		s += ex.Err
-	}
-	return s / float64(len(r.Transcript))
-}
-
-// QuantileErr returns the q-th error quantile of the transcript (q in
-// [0, 1]; nearest-rank). It returns 0 for an empty transcript.
-func (r *GameResult) QuantileErr(q float64) float64 {
-	n := len(r.Transcript)
-	if n == 0 {
-		return 0
-	}
-	errs := make([]float64, n)
-	for i, ex := range r.Transcript {
-		errs[i] = ex.Err
-	}
-	sort.Float64s(errs)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return errs[idx]
-}
-
 // RunGame plays the Sample Accuracy game of Figure 1: the adversary picks
 // queries (adaptively — it sees the transcript), the answerer answers, and
 // every answer is scored against the true dataset.

@@ -1,7 +1,6 @@
 package accuracy
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/convex"
@@ -44,29 +43,5 @@ func TestRandomPool(t *testing.T) {
 	empty := &RandomPool{Src: sample.New(3)}
 	if _, ok := empty.Next(nil); ok {
 		t.Error("empty pool produced a query")
-	}
-}
-
-func TestGameResultStats(t *testing.T) {
-	r := &GameResult{}
-	if r.MeanErr() != 0 || r.QuantileErr(0.5) != 0 {
-		t.Error("empty stats nonzero")
-	}
-	r.Transcript = []Exchange{{Err: 0.1}, {Err: 0.3}, {Err: 0.2}, {Err: 0.4}}
-	if got := r.MeanErr(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("MeanErr = %v", got)
-	}
-	if got := r.QuantileErr(0.5); got != 0.2 {
-		t.Errorf("median = %v, want 0.2", got)
-	}
-	if got := r.QuantileErr(1.0); got != 0.4 {
-		t.Errorf("max quantile = %v", got)
-	}
-	if got := r.QuantileErr(0); got != 0.1 {
-		t.Errorf("min quantile = %v", got)
-	}
-	// Out-of-range q values clamp rather than panic.
-	if got := r.QuantileErr(2); got != 0.4 {
-		t.Errorf("q=2 → %v", got)
 	}
 }

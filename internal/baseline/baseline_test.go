@@ -61,7 +61,7 @@ func TestPerQueryBudgetMatchesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps0, delta0 := c.PerQueryBudget()
+	eps0, delta0 := c.eps0, c.delta0
 	wantEps, wantDelta, err := mech.SplitBudget(1, 1e-6, 100)
 	if err != nil {
 		t.Fatal(err)

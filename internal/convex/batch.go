@@ -105,8 +105,8 @@ func dirGradRange(l Loss, out, dir, theta []float64, u universe.Universe, lo, hi
 //
 // Every GLM loss here has the shape ℓ(θ; x) = profile(⟨θ, feat(x)⟩, y(x))
 // with ∇ℓ = profile′·feat(x), so one set of kernels parameterized by the
-// label extractor serves squared, logistic, hinge, Huber, pinball and
-// Poisson losses.
+// label extractor serves squared, logistic, hinge, Huber and pinball
+// losses.
 
 // glmLabel extracts the profile's second argument from a record.
 type glmLabel func(x []float64) float64
@@ -232,18 +232,6 @@ func (l *Pinball) GradBatch(grad, theta, w []float64, u universe.Universe, lo, h
 }
 
 func (l *Pinball) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
-
-func (l *Poisson) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *Poisson) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *Poisson) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
 }
 
@@ -383,7 +371,6 @@ var (
 	_ BatchLoss = (*SmoothedHinge)(nil)
 	_ BatchLoss = (*Huber)(nil)
 	_ BatchLoss = (*Pinball)(nil)
-	_ BatchLoss = (*Poisson)(nil)
 	_ BatchLoss = (*LinearForm)(nil)
 	_ BatchLoss = (*LinearQuery)(nil)
 	_ BatchLoss = (*Regularized)(nil)

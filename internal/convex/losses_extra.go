@@ -1,9 +1,6 @@
 package convex
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Pinball is the smoothed quantile-regression loss: the pinball (check)
 // profile at quantile level τ, Huber-smoothed in a window of width `smooth`
@@ -92,90 +89,5 @@ func (l *Pinball) Lipschitz() float64 { return 1 }
 // StrongConvexity returns 0.
 func (l *Pinball) StrongConvexity() float64 { return 0 }
 
-// Poisson is the (clamped) Poisson-regression negative log-likelihood in
-// GLM form: profile exp(z) − y·z for a non-negative count label y, with z
-// clamped to |z| ≤ zmax so the exponential's derivative — and hence the
-// Lipschitz constant — stays bounded over the domain. Normalized to be
-// 1-Lipschitz.
-type Poisson struct {
-	name string
-	dom  Domain
-	zmax float64
-	ymax float64
-	c    float64
-}
-
-// NewPoisson constructs a Poisson loss. zmax bounds |⟨θ, x⟩| over Θ × X
-// (e.g. diam(Θ)/2 · featBound) and ymax bounds the label.
-func NewPoisson(name string, dom Domain, zmax, ymax, featBound float64) (*Poisson, error) {
-	if zmax <= 0 || ymax <= 0 || featBound <= 0 {
-		return nil, fmt.Errorf("convex: poisson bounds must be positive")
-	}
-	// |profile′| ≤ e^zmax + ymax, chain rule multiplies by featBound.
-	c := 1 / ((math.Exp(zmax) + ymax) * featBound)
-	return &Poisson{name: name, dom: dom, zmax: zmax, ymax: ymax, c: c}, nil
-}
-
-// Name returns the instance name.
-func (l *Poisson) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Poisson) Domain() Domain { return l.dom }
-
-// Scalar returns the profile c·(exp(z̄) − y⁺·z̄) and its derivative in z,
-// where z̄ clamps z to [−zmax, zmax] and y⁺ clamps the label to [0, ymax].
-// Outside the clamp the profile continues linearly (keeping convexity and
-// the Lipschitz bound).
-func (l *Poisson) Scalar(z, y float64) (float64, float64) {
-	if y < 0 {
-		y = 0
-	} else if y > l.ymax {
-		y = l.ymax
-	}
-	zc := z
-	if zc > l.zmax {
-		zc = l.zmax
-	} else if zc < -l.zmax {
-		zc = -l.zmax
-	}
-	base := math.Exp(zc) - y*zc
-	slope := math.Exp(zc) - y
-	// Linear continuation beyond the clamp preserves convexity.
-	return l.c * (base + slope*(z-zc)), l.c * slope
-}
-
-// Value evaluates the loss; the record's last coordinate is the label.
-func (l *Poisson) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, x[len(x)-1])
-	return v
-}
-
-// Grad writes the gradient.
-func (l *Poisson) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, x[len(x)-1])
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
-}
-
-// Lipschitz returns 1.
-func (l *Poisson) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *Poisson) StrongConvexity() float64 { return 0 }
-
-// Compile-time GLM conformance checks for the extra losses.
-var (
-	_ GLM = (*Pinball)(nil)
-	_ GLM = (*Poisson)(nil)
-)
+// Compile-time GLM conformance check.
+var _ GLM = (*Pinball)(nil)

@@ -54,55 +54,6 @@ func TestPinballProfileShape(t *testing.T) {
 	}
 }
 
-func TestPoissonValidation(t *testing.T) {
-	ball, _ := NewL2Ball(2, 1)
-	for _, c := range []struct{ zmax, ymax, fb float64 }{
-		{0, 1, 1}, {1, 0, 1}, {1, 1, 0},
-	} {
-		if _, err := NewPoisson("p", ball, c.zmax, c.ymax, c.fb); err == nil {
-			t.Errorf("NewPoisson(%v) accepted", c)
-		}
-	}
-}
-
-func TestPoissonProfile(t *testing.T) {
-	ball, _ := NewL2Ball(2, 1)
-	ps, err := NewPoisson("p", ball, 1.0, 2.0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In the interior: profile = c(e^z − yz), derivative c(e^z − y).
-	c := 1 / (math.E + 2.0)
-	v, dv := ps.Scalar(0.5, 1)
-	if math.Abs(v-c*(math.Exp(0.5)-0.5)) > 1e-12 {
-		t.Errorf("v = %v", v)
-	}
-	if math.Abs(dv-c*(math.Exp(0.5)-1)) > 1e-12 {
-		t.Errorf("dv = %v", dv)
-	}
-	// Beyond the clamp: linear continuation with the boundary slope.
-	_, dOut := ps.Scalar(5, 1)
-	_, dEdge := ps.Scalar(1, 1)
-	if math.Abs(dOut-dEdge) > 1e-12 {
-		t.Errorf("slope beyond clamp %v != boundary slope %v", dOut, dEdge)
-	}
-	// Negative labels clamp to 0; huge labels clamp to ymax.
-	vNeg, _ := ps.Scalar(0.5, -3)
-	vZero, _ := ps.Scalar(0.5, 0)
-	if vNeg != vZero {
-		t.Error("negative label not clamped to 0")
-	}
-	vBig, _ := ps.Scalar(0.5, 100)
-	vMax, _ := ps.Scalar(0.5, 2)
-	if vBig != vMax {
-		t.Error("oversized label not clamped to ymax")
-	}
-	// Poisson minimum at z = log y for y in range: derivative zero.
-	if _, d := ps.Scalar(math.Log(2), 2); math.Abs(d) > 1e-12 {
-		t.Errorf("derivative at z=log y is %v", d)
-	}
-}
-
 func TestScaledProperties(t *testing.T) {
 	ball, _ := NewL2Ball(2, 1)
 	sq, _ := NewSquared("sq", ball, []float64{0, 0, 1}, 1, 1)

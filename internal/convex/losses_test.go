@@ -64,16 +64,11 @@ func allLosses(t *testing.T) []Loss {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// zmax = R·featBound = 1 over the unit ball with unit features.
-	ps, err := NewPoisson("ps", ball, 1.0, 1.0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc, err := NewScaled(hb, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Loss{sq, lg, sh, hb, lf, lq, rg, pb, ps, sc}
+	return []Loss{sq, lg, sh, hb, lf, lq, rg, pb, sc}
 }
 
 // randomTheta draws a parameter in the loss's domain.
@@ -293,7 +288,7 @@ func TestRegularized(t *testing.T) {
 	if rg.StrongConvexity() != 0.7 {
 		t.Errorf("sigma = %v", rg.StrongConvexity())
 	}
-	if rg.Sigma() != 0.7 || rg.Inner() != Loss(sq) {
+	if rg.sigma != 0.7 || rg.Inner() != Loss(sq) {
 		t.Error("accessors wrong")
 	}
 	// Value difference is exactly the ridge term.

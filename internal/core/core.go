@@ -253,6 +253,7 @@ type Server struct {
 	fu     universe.Factored // factored engine: the product universe
 	fstate *mw.FactoredState // factored engine
 	eng    *xeval.Engine
+	solve  optimize.Options // argmin solver settings, resolved once at New
 	acct   mech.Accountant
 	// callCost is the oracle's declared cost of one (ε₀, δ₀) call — what
 	// each ⊤ answer spends on the accountant.
@@ -352,6 +353,7 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 		src:      src,
 		sv:       sv,
 		eng:      eng,
+		solve:    solverOptions(cfg.SolverIters, eng),
 		acct:     acct,
 		callCost: callCost,
 	}
@@ -438,16 +440,6 @@ func (s *Server) SupportHypothesis(coords []int) (*histogram.Histogram, error) {
 	return s.fstate.SupportHistogram(coords)
 }
 
-// FactoredFootprint reports the factored hypothesis's materialized junta
-// components and total table cells — the memory the representation pays
-// for, independent of |X|. Zeros under the dense engine.
-func (s *Server) FactoredFootprint() (groups, cells int) {
-	if s.fstate == nil {
-		return 0, 0
-	}
-	return s.fstate.Components()
-}
-
 // SyntheticRows samples m records from the current hypothesis — a
 // row-level synthetic dataset release (§4.3: "our algorithm indeed can be
 // modified to output a synthetic dataset"). The sampling is pure
@@ -487,35 +479,74 @@ func (s *Server) AccountantName() string { return s.acct.Name() }
 // answer spends (Gaussian oracles certify a zCDP ρ alongside (ε₀, δ₀)).
 func (s *Server) CallCost() mech.Cost { return s.callCost }
 
-// publicMin solves argmin_θ ℓ(θ; D̂t) on the public hypothesis.
-func (s *Server) publicMin(l convex.Loss) ([]float64, error) {
-	iters := s.cfg.SolverIters
+// solverOptions resolves the argmin solver settings shared by every solve
+// of a run: SolverIters ≤ 0 selects 400 iterations.
+func solverOptions(iters int, eng *xeval.Engine) optimize.Options {
 	if iters <= 0 {
 		iters = 400
 	}
-	res, err := optimize.Minimize(l, s.state.Histogram(), optimize.Options{MaxIters: iters, Engine: s.eng})
-	if err != nil {
-		return nil, err
-	}
-	return res.Theta, nil
+	return optimize.Options{MaxIters: iters, Engine: eng}
 }
 
-// privateErr computes the sensitive SV query value
-// q(D) = err_ℓ(D, D̂t) = ℓ_D(θ̂t) − min_θ ℓ_D(θ), given θ̂t.
-func (s *Server) privateErr(l convex.Loss, thetaHat []float64) (float64, error) {
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
+// view is an engine's window onto Figure 3 for one loss: the hypothesis
+// and private-data histograms over the universe the expectations are
+// swept over (hyp.U), and the MW step that consumes a certificate laid out
+// on it. The dense engine's view is the whole universe X; the factored
+// engine's is the loss's support sub-cube, on which the loss takes
+// identical values (universe.SupportUniverse pins non-support
+// coordinates, the loss never reads them), so the released answers follow
+// the dense definitions.
+type view struct {
+	hyp   *histogram.Histogram
+	data  *histogram.Histogram
+	apply func(uvec []float64) error
+}
+
+// view returns the engine's view for l.
+func (s *Server) view(l convex.Loss) (view, error) {
+	if s.fstate == nil {
+		return view{hyp: s.state.Histogram(), data: s.hist, apply: s.state.Update}, nil
 	}
-	minD, err := optimize.MinValue(l, s.hist, optimize.Options{MaxIters: iters, Engine: s.eng})
+	coords, ok := convex.SupportOf(l)
+	if !ok {
+		return view{}, fmt.Errorf("%w: loss %q declares none", ErrNeedsSupport, l.Name())
+	}
+	subU, err := universe.SupportUniverse(s.fu, coords)
 	if err != nil {
-		return 0, err
+		return view{}, fmt.Errorf("core: factored engine: %w", err)
 	}
-	e := convex.EvalOn(s.eng, l, thetaHat, s.hist) - minD
-	if e < 0 {
-		e = 0
+	// The marginal weights E[x ∈ cell] match the dense hypothesis exactly
+	// (product form is exact under junta updates).
+	hyp, err := s.fstate.SupportHistogram(coords)
+	if err != nil {
+		return view{}, err
 	}
-	return e, nil
+	hyp.U = subU // one materialization of the sub-cube for the whole answer
+	data, err := s.supportData(coords, subU)
+	if err != nil {
+		return view{}, err
+	}
+	// SupportUniverse enumerates cells in the SupportIndex layout that
+	// FactoredState.Update expects of the certificate.
+	apply := func(uvec []float64) error {
+		if err := s.fstate.Update(coords, uvec); err != nil {
+			return fmt.Errorf("core: factored MW update: %w", err)
+		}
+		return nil
+	}
+	return view{hyp: hyp, data: data, apply: apply}, nil
+}
+
+// supportData returns the private dataset's exact marginal histogram over
+// the support sub-cube: each row contributes to the cell its support
+// coordinates project to. O(n·dim), never enumerating the universe.
+func (s *Server) supportData(coords []int, subU universe.Universe) (*histogram.Histogram, error) {
+	counts := make([]int, subU.Size())
+	buf := make([]int, s.fu.Dim())
+	for _, r := range s.data.Rows {
+		counts[universe.ProjectIndex(s.fu, coords, r, buf)]++
+	}
+	return histogram.FromCounts(subU, counts)
 }
 
 // Answer processes the analyst's next loss function and returns the
@@ -527,19 +558,25 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 	if got := convex.ScaleBound(l); got > s.cfg.S+1e-9 {
 		return nil, fmt.Errorf("core: query scale bound %v exceeds configured S = %v", got, s.cfg.S)
 	}
-	if s.engine == EngineFactored {
-		return s.answerFactored(l)
+	vw, err := s.view(l)
+	if err != nil {
+		return nil, err
 	}
 
 	// θ̂t: public minimizer on the current hypothesis.
-	thetaHat, err := s.publicMin(l)
+	res, err := optimize.Minimize(l, vw.hyp, s.solve)
 	if err != nil {
 		return nil, err
 	}
-	// Sensitive query value for SV.
-	qval, err := s.privateErr(l, thetaHat)
+	thetaHat := res.Theta
+	// Sensitive query value for SV: q(D) = err_ℓ(D, D̂t) = ℓ_D(θ̂t) − min_θ ℓ_D(θ).
+	minD, err := optimize.MinValue(l, vw.data, s.solve)
 	if err != nil {
 		return nil, err
+	}
+	qval := convex.EvalOn(s.eng, l, thetaHat, vw.data) - minD
+	if qval < 0 {
+		qval = 0
 	}
 	top, err := s.sv.Query(qval)
 	if err != nil {
@@ -564,170 +601,60 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 		// ledger and the released interaction have desynchronized.
 		return nil, fmt.Errorf("core: recording oracle spend: %w", err)
 	}
-	// Defensive post-processing: an oracle returning a point outside Θ
-	// would break the scale bound on the MW update vector (|u_t| ≤ S needs
-	// θt, θ̂t ∈ Θ). Projection is free — it is post-processing of an
-	// already-private answer.
-	if dom := l.Domain(); len(theta) != dom.Dim() {
-		return nil, fmt.Errorf("core: oracle %q returned dimension %d, want %d",
-			s.cfg.Oracle.Name(), len(theta), dom.Dim())
-	} else if !dom.Contains(theta, 1e-9) {
-		theta = dom.Project(theta)
-	}
-
-	if err := s.update(l, theta, thetaHat, qval); err != nil {
+	if theta, err = projectOracleAnswer(s.cfg.Oracle, l, theta); err != nil {
 		return nil, err
 	}
-	return theta, nil
-}
-
-// answerFactored is the factored engine's Answer: the same Figure-3
-// protocol, run entirely on the loss's declared support sub-cube. A loss
-// supported on coordinates C takes identical values on the embedded
-// sub-universe (universe.SupportUniverse pins non-support coordinates, the
-// loss never reads them), so the dense minimization and evaluation
-// machinery runs unchanged over |C|-many coordinates instead of |X|
-// elements — the released answers follow the exact definitions of the
-// dense path.
-func (s *Server) answerFactored(l convex.Loss) ([]float64, error) {
-	coords, ok := convex.SupportOf(l)
-	if !ok {
-		return nil, fmt.Errorf("%w: loss %q declares none", ErrNeedsSupport, l.Name())
-	}
-	subU, err := universe.SupportUniverse(s.fu, coords)
-	if err != nil {
-		return nil, fmt.Errorf("core: factored engine: %w", err)
-	}
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
-	opts := optimize.Options{MaxIters: iters, Engine: s.eng}
-
-	// θ̂t: public minimizer on the hypothesis's support marginal. The
-	// marginal weights E[x ∈ cell] match the dense hypothesis exactly
-	// (product form is exact under junta updates), so this is the same
-	// argmin the dense path solves.
-	hyp, err := s.fstate.SupportHistogram(coords)
-	if err != nil {
-		return nil, err
-	}
-	hyp.U = subU // one materialization of the sub-cube for the whole answer
-	res, err := optimize.Minimize(l, hyp, opts)
-	if err != nil {
-		return nil, err
-	}
-	thetaHat := res.Theta
-
-	// Sensitive query value for SV, on the data's support marginal:
-	// ℓ_D(θ) = Σ_cell P_D(cell)·ℓ_cell(θ) because the loss reads only the
-	// support coordinates, so err_ℓ(D, D̂t) is unchanged from its dense
-	// definition.
-	dataHist, err := s.supportData(coords, subU)
-	if err != nil {
-		return nil, err
-	}
-	minD, err := optimize.MinValue(l, dataHist, opts)
-	if err != nil {
-		return nil, err
-	}
-	qval := convex.EvalOn(s.eng, l, thetaHat, dataHist) - minD
-	if qval < 0 {
-		qval = 0
-	}
-	top, err := s.sv.Query(qval)
-	if err != nil {
-		if err == sparse.ErrHalted {
-			return nil, ErrHalted
-		}
-		return nil, err
-	}
-	s.answered++
-	if !top {
-		return thetaHat, nil
-	}
-
-	// ⊤: private single-query solve, then the MW update on the support.
-	theta, err := s.cfg.Oracle.Answer(s.src, l, s.data, s.params.Eps0, s.params.Delta0)
-	if err != nil {
-		return nil, fmt.Errorf("core: oracle %q failed: %w", s.cfg.Oracle.Name(), err)
-	}
-	if err := s.acct.Spend(s.callCost); err != nil {
-		return nil, fmt.Errorf("core: recording oracle spend: %w", err)
-	}
-	if dom := l.Domain(); len(theta) != dom.Dim() {
-		return nil, fmt.Errorf("core: oracle %q returned dimension %d, want %d",
-			s.cfg.Oracle.Name(), len(theta), dom.Dim())
-	} else if !dom.Contains(theta, 1e-9) {
-		theta = dom.Project(theta)
-	}
-
-	// Claim-3.5 certificate over the sub-cube, in the SupportIndex layout
-	// FactoredState.Update expects (SupportUniverse enumerates the same
-	// order).
-	uvec := make([]float64, subU.Size())
-	convex.DirGradOn(s.eng, l, uvec, vecmath.Sub(theta, thetaHat), thetaHat, subU)
-	s.eng.ForEach(subU.Size(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := uvec[i]
-			if v > s.cfg.S && v <= s.cfg.S*(1+1e-12) {
-				uvec[i] = s.cfg.S
-			} else if v < -s.cfg.S && v >= -s.cfg.S*(1+1e-12) {
-				uvec[i] = -s.cfg.S
-			}
-		}
-	})
-	if err := s.fstate.Update(coords, uvec); err != nil {
-		return nil, fmt.Errorf("core: factored MW update: %w", err)
-	}
-	return theta, nil
-}
-
-// supportData returns the private dataset's exact marginal histogram over
-// the support sub-cube: each row contributes to the cell its support
-// coordinates project to. O(n·dim), never enumerating the universe.
-func (s *Server) supportData(coords []int, subU universe.Universe) (*histogram.Histogram, error) {
-	counts := make([]int, subU.Size())
-	buf := make([]int, s.fu.Dim())
-	for _, r := range s.data.Rows {
-		counts[universe.ProjectIndex(s.fu, coords, r, buf)]++
-	}
-	return histogram.FromCounts(subU, counts)
-}
-
-// update applies the dual-certificate MW step of Figure 3. The certificate
-// u_t(x) = ⟨θt − θ̂t, ∇ℓ_x(θ̂t)⟩ is computed chunk-parallel on the server's
-// engine via the loss's DirGradBatch kernel.
-func (s *Server) update(l convex.Loss, theta, thetaHat []float64, qval float64) error {
-	u := s.data.U
-	dir := vecmath.Sub(theta, thetaHat)
-	uvec := make([]float64, u.Size())
-	convex.DirGradOn(s.eng, l, uvec, dir, thetaHat, u)
-	s.eng.ForEach(u.Size(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := uvec[i]
-			// Clamp tiny overshoot of the certified scale bound; anything
-			// larger is a real contract violation that mw.Update will
-			// reject.
-			if v > s.cfg.S && v <= s.cfg.S*(1+1e-12) {
-				uvec[i] = s.cfg.S
-			} else if v < -s.cfg.S && v >= -s.cfg.S*(1+1e-12) {
-				uvec[i] = -s.cfg.S
-			}
-		}
-	})
-
+	uvec := certificate(s.eng, l, theta, thetaHat, vw.hyp.U, s.cfg.S)
 	if s.cfg.Trace {
-		prog := vecmath.Dot(uvec, vecmath.Sub(s.state.Histogram().P, s.hist.P))
+		// Trace requires the dense engine, so vw.hyp and vw.data are the
+		// full hypothesis and data histograms.
 		s.traces = append(s.traces, UpdateTrace{
 			QueryIndex:  s.answered,
 			UpdateIndex: s.state.Updates() + 1,
 			TrueErr:     qval,
-			Progress:    prog,
-			Potential:   clampKL(s.state.Potential(s.hist)),
+			Progress:    vecmath.Dot(uvec, vecmath.Sub(vw.hyp.P, vw.data.P)),
+			Potential:   clampKL(s.state.Potential(vw.data)),
 		})
 	}
-	return s.state.Update(uvec)
+	if err := vw.apply(uvec); err != nil {
+		return nil, err
+	}
+	return theta, nil
+}
+
+// projectOracleAnswer is defensive post-processing of an oracle's answer:
+// a point outside Θ would break the scale bound on the MW update vector
+// (|u_t| ≤ S needs θt, θ̂t ∈ Θ). Projection is free — it is
+// post-processing of an already-private answer.
+func projectOracleAnswer(o erm.Oracle, l convex.Loss, theta []float64) ([]float64, error) {
+	dom := l.Domain()
+	if len(theta) != dom.Dim() {
+		return nil, fmt.Errorf("core: oracle %q returned dimension %d, want %d", o.Name(), len(theta), dom.Dim())
+	}
+	if !dom.Contains(theta, 1e-9) {
+		theta = dom.Project(theta)
+	}
+	return theta, nil
+}
+
+// certificate returns the Claim-3.5 dual-certificate vector
+// u_t(x) = ⟨θt − θ̂t, ∇ℓ_x(θ̂t)⟩ over the sweep universe u, computed
+// chunk-parallel on eng via the loss's DirGradBatch kernel. Rounding
+// overshoot of the certified scale bound S is clamped; anything larger is
+// a real contract violation that the MW update rejects.
+func certificate(eng *xeval.Engine, l convex.Loss, theta, thetaHat []float64, u universe.Universe, S float64) []float64 {
+	uvec := make([]float64, u.Size())
+	convex.DirGradOn(eng, l, uvec, vecmath.Sub(theta, thetaHat), thetaHat, u)
+	eng.ForEach(len(uvec), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if v := uvec[i]; v > S && v <= S*(1+1e-12) {
+				uvec[i] = S
+			} else if v < -S && v >= -S*(1+1e-12) {
+				uvec[i] = -S
+			}
+		}
+	})
+	return uvec
 }
 
 // clampKL guards +Inf potentials (empty hypothesis support) for traces.

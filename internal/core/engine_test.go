@@ -340,7 +340,7 @@ func TestFactoredLargeDInteraction(t *testing.T) {
 	if math.Abs(mass-1) > 1e-9 {
 		t.Fatalf("support marginal mass %v", mass)
 	}
-	groups, cells := srv.FactoredFootprint()
+	groups, cells := srv.fstate.Components()
 	if groups == 0 || cells == 0 || cells > mw30FootprintCap {
 		t.Fatalf("factored footprint: %d groups, %d cells", groups, cells)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mw"
 	"repro/internal/optimize"
 	"repro/internal/sample"
-	"repro/internal/vecmath"
 	"repro/internal/xeval"
 )
 
@@ -102,11 +101,6 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 			return nil, fmt.Errorf("core: query %q scale bound %v exceeds S = %v", l.Name(), got, cfg.S)
 		}
 	}
-	iters := cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
-
 	// 2 mechanisms per round (selection + oracle) under strong composition.
 	eps0, delta0, err := mech.SplitBudget(cfg.Eps, cfg.Delta, 2*cfg.Rounds)
 	if err != nil {
@@ -124,8 +118,8 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 
 	// validate() rejected negatives; xeval.New maps 0 to runtime.NumCPU().
 	eng := xeval.New(cfg.Workers)
-	xsize := data.U.Size()
-	state, err := mw.New(data.U, mw.Eta(cfg.S, cfg.Rounds, xsize), cfg.S)
+	opts := solverOptions(cfg.SolverIters, eng)
+	state, err := mw.New(data.U, mw.Eta(cfg.S, cfg.Rounds, data.U.Size()), cfg.S)
 	if err != nil {
 		return nil, err
 	}
@@ -140,12 +134,12 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 		scores := make([]float64, len(losses))
 		thetaHats := make([][]float64, len(losses))
 		for i, l := range losses {
-			res, err := optimize.Minimize(l, hyp, optimize.Options{MaxIters: iters, Engine: eng})
+			res, err := optimize.Minimize(l, hyp, opts)
 			if err != nil {
 				return nil, err
 			}
 			thetaHats[i] = res.Theta
-			minD, err := optimize.MinValue(l, priv, optimize.Options{MaxIters: iters, Engine: eng})
+			minD, err := optimize.MinValue(l, priv, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -172,16 +166,11 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 		if err := acct.Spend(oracleCost); err != nil {
 			return nil, err
 		}
+		if theta, err = projectOracleAnswer(cfg.Oracle, l, theta); err != nil {
+			return nil, err
+		}
 		// Dual-certificate update, identical to the online path.
-		dir := vecmath.Sub(theta, thetaHats[idx])
-		uvec := make([]float64, xsize)
-		convex.DirGradOn(eng, l, uvec, dir, thetaHats[idx], data.U)
-		eng.ForEach(xsize, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				uvec[i] = vecmath.Clamp(uvec[i], -cfg.S, cfg.S)
-			}
-		})
-		if err := state.Update(uvec); err != nil {
+		if err := state.Update(certificate(eng, l, theta, thetaHats[idx], data.U, cfg.S)); err != nil {
 			return nil, err
 		}
 	}
@@ -189,7 +178,7 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 	final := state.Histogram()
 	answers := make([][]float64, len(losses))
 	for i, l := range losses {
-		res, err := optimize.Minimize(l, final, optimize.Options{MaxIters: iters, Engine: eng})
+		res, err := optimize.Minimize(l, final, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -110,38 +110,6 @@ func TestLinearModel(t *testing.T) {
 	}
 }
 
-func TestLogisticModel(t *testing.T) {
-	g := grid(t)
-	src := sample.New(3)
-	theta := []float64{2, 0}
-	pop, err := LogisticModel(src, g, theta, 0.25, 30000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Labels should be extreme grid values only (±labelRadius after
-	// rounding of ±huge), and positively correlated with x₀.
-	var corr float64
-	for i, p := range pop.P {
-		if p == 0 {
-			continue
-		}
-		pt := g.Point(i)
-		if math.Abs(math.Abs(pt[2])-2.0) > 1e-9 {
-			t.Fatalf("logistic label %v not extreme", pt[2])
-		}
-		corr += p * pt[0] * pt[2]
-	}
-	if corr <= 0.01 {
-		t.Errorf("logistic correlation = %v", corr)
-	}
-	if _, err := LogisticModel(src, g, theta, 0, 10); err == nil {
-		t.Error("temp=0 accepted")
-	}
-	if _, err := LogisticModel(src, g, []float64{1, 2, 3}, 1, 10); err == nil {
-		t.Error("wrong theta dim accepted")
-	}
-}
-
 func TestSkewed(t *testing.T) {
 	u, _ := universe.NewHypercube(3)
 	pop, err := Skewed(u, 2)
@@ -183,38 +151,5 @@ func TestPointMass(t *testing.T) {
 	}
 	if _, err := PointMass(u, -1); err == nil {
 		t.Error("negative index accepted")
-	}
-}
-
-func TestMixture(t *testing.T) {
-	u, _ := universe.NewHypercube(2)
-	m, err := Mixture(u, []int{0, 3}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.P[0]-0.25) > 1e-12 || math.Abs(m.P[3]-0.75) > 1e-12 {
-		t.Errorf("P = %v", m.P)
-	}
-	// Repeated element accumulates.
-	m2, err := Mixture(u, []int{1, 1}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.P[1] != 1 {
-		t.Errorf("repeated element P = %v", m2.P)
-	}
-	for _, c := range []struct {
-		e []int
-		w []float64
-	}{
-		{nil, nil},
-		{[]int{0}, []float64{1, 2}},
-		{[]int{9}, []float64{1}},
-		{[]int{0}, []float64{-1}},
-		{[]int{0}, []float64{0}},
-	} {
-		if _, err := Mixture(u, c.e, c.w); err == nil {
-			t.Errorf("Mixture(%v,%v) accepted", c.e, c.w)
-		}
 	}
 }

@@ -97,30 +97,6 @@ func Exponential(src *sample.Source, scores []float64, sens, eps float64) (int, 
 	return bestIdx, nil
 }
 
-// ReportNoisyMax returns argmaxᵢ (scoreᵢ + Lap(2·sens/ε)), the (ε, 0)-DP
-// noisy-max selection mechanism.
-func ReportNoisyMax(src *sample.Source, scores []float64, sens, eps float64) (int, error) {
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("mech: no candidates")
-	}
-	if sens <= 0 {
-		return 0, fmt.Errorf("mech: score sensitivity %v must be positive", sens)
-	}
-	if err := (Params{Eps: eps}).Validate(); err != nil {
-		return 0, err
-	}
-	b := 2 * sens / eps
-	best := math.Inf(-1)
-	bestIdx := 0
-	for i, s := range scores {
-		if v := s + src.Laplace(b); v > best {
-			best = v
-			bestIdx = i
-		}
-	}
-	return bestIdx, nil
-}
-
 // BasicComposition returns the privacy of running T mechanisms that are each
 // (ε₀, δ₀)-DP: parameters add up.
 func BasicComposition(eps0, delta0 float64, T int) Params {

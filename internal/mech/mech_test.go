@@ -128,31 +128,6 @@ func TestExponentialValidation(t *testing.T) {
 	}
 }
 
-func TestReportNoisyMaxPrefersLargeScores(t *testing.T) {
-	src := sample.New(5)
-	scores := []float64{0, 0, 5}
-	n := 20000
-	var wins int
-	for i := 0; i < n; i++ {
-		idx, err := ReportNoisyMax(src, scores, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx == 2 {
-			wins++
-		}
-	}
-	if rate := float64(wins) / float64(n); rate < 0.9 {
-		t.Errorf("clear winner selected only %v of the time", rate)
-	}
-	if _, err := ReportNoisyMax(src, nil, 1, 1); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := ReportNoisyMax(src, []float64{1}, -1, 1); err == nil {
-		t.Error("bad sens accepted")
-	}
-}
-
 func TestBasicComposition(t *testing.T) {
 	p := BasicComposition(0.1, 1e-6, 10)
 	if math.Abs(p.Eps-1) > 1e-12 || math.Abs(p.Delta-1e-5) > 1e-18 {

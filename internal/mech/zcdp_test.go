@@ -47,31 +47,39 @@ func TestRhoToDPHandChecked(t *testing.T) {
 	}
 }
 
+// newZCDP returns the registry "zcdp" accountant over a generous budget.
+func newZCDP(t *testing.T) Accountant {
+	t.Helper()
+	a, err := NewAccountant("zcdp", Params{Eps: 1e3, Delta: 1e-6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestZCDPAccountant(t *testing.T) {
-	var a ZCDPAccountant
-	if a.Rho() != 0 || a.Count() != 0 {
+	a := newZCDP(t)
+	if st := a.Export(); st.Rho != 0 || st.Count != 0 {
 		t.Fatal("fresh accountant dirty")
 	}
-	if err := a.SpendGaussian(1, 2); err != nil {
+	if err := a.Spend(GaussianCost(1, 2, 1, 1e-7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SpendRho(0.375); err != nil {
+	if err := a.Spend(Cost{Eps: 1, Delta: 1e-7, Rho: 0.375}); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Rho()-0.5) > 1e-15 {
-		t.Errorf("rho = %v", a.Rho())
+	st := a.Export()
+	if math.Abs(st.Rho-0.5) > 1e-15 {
+		t.Errorf("rho = %v", st.Rho)
 	}
-	if a.Count() != 2 {
-		t.Errorf("count = %d", a.Count())
+	if st.Count != 2 {
+		t.Errorf("count = %d", st.Count)
 	}
-	if err := a.SpendRho(-1); err == nil {
+	if err := a.Spend(Cost{Eps: 1, Rho: -1}); err == nil {
 		t.Error("negative rho accepted")
 	}
-	if err := a.SpendGaussian(1, 0); err == nil {
-		t.Error("bad gaussian accepted")
-	}
-	if _, err := a.Total(1e-6); err != nil {
-		t.Fatal(err)
+	if tot := a.Total(); !(tot.Eps > 0 && tot.Delta > 0) || math.IsInf(tot.Eps, 0) {
+		t.Errorf("total = %+v", tot)
 	}
 }
 
@@ -86,22 +94,22 @@ func TestZCDPTighterThanDRV10ForLongGaussianChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a ZCDPAccountant
+	zc := newZCDP(t)
+	drv, err := NewAccountant("advanced", Params{Eps: 1e3, Delta: 1e-6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < T; i++ {
-		if err := a.SpendGaussian(1, sigma); err != nil {
+		c := GaussianCost(1, sigma, eps0, delta0)
+		if err := zc.Spend(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Spend(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	zc, err := a.Total(1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv, err := AdvancedComposition(eps0, delta0, T, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zc.Eps >= drv.Eps {
-		t.Errorf("zCDP (%v) not tighter than DRV10 (%v) for T=%d Gaussians", zc.Eps, drv.Eps, T)
+	if z, d := zc.Total().Eps, drv.Total().Eps; z >= d {
+		t.Errorf("zCDP (%v) not tighter than DRV10 (%v) for T=%d Gaussians", z, d, T)
 	}
 }
 
@@ -109,16 +117,16 @@ func TestZCDPTighterThanDRV10ForLongGaussianChains(t *testing.T) {
 // accountant with all spends.
 func TestZCDPAdditivity(t *testing.T) {
 	f := func(rawA, rawB float64) bool {
-		ra := math.Abs(math.Mod(rawA, 10))
-		rb := math.Abs(math.Mod(rawB, 10))
-		var a, b, c ZCDPAccountant
-		if a.SpendRho(ra) != nil || b.SpendRho(rb) != nil {
+		ca := Cost{Eps: 1, Delta: 1e-9, Rho: math.Abs(math.Mod(rawA, 10))}
+		cb := Cost{Eps: 1, Delta: 1e-9, Rho: math.Abs(math.Mod(rawB, 10))}
+		a, b, c := newZCDP(t), newZCDP(t), newZCDP(t)
+		if a.Spend(ca) != nil || b.Spend(cb) != nil {
 			return true
 		}
-		if c.SpendRho(ra) != nil || c.SpendRho(rb) != nil {
+		if c.Spend(ca) != nil || c.Spend(cb) != nil {
 			return true
 		}
-		return math.Abs(a.Rho()+b.Rho()-c.Rho()) < 1e-12
+		return math.Abs(a.Export().Rho+b.Export().Rho-c.Export().Rho) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -79,15 +79,6 @@ func (h *Histogram) Observe(v float64) {
 	h.slot(h.epoch()).buckets[b].Add(1)
 }
 
-// ObserveSince records the elapsed seconds since t0 — the common latency
-// call shape.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(h.now().Sub(t0).Seconds())
-}
-
 // epoch returns the current slot epoch (monotone wall-clock counter).
 func (h *Histogram) epoch() int64 {
 	return h.now().UnixNano() / int64(histSlotDur)

@@ -115,17 +115,6 @@ func TestSnapshotCumulativeBuckets(t *testing.T) {
 	}
 }
 
-func TestObserveSince(t *testing.T) {
-	h := newHistogram(DefBuckets)
-	clock := time.Unix(1_000_000, 0)
-	h.now = func() time.Time { return clock }
-	t0 := clock.Add(-3 * time.Millisecond)
-	h.ObserveSince(t0)
-	if h.Count() != 1 || math.Abs(h.Sum()-0.003) > 1e-12 {
-		t.Fatalf("ObserveSince recorded count=%d sum=%v", h.Count(), h.Sum())
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h := newHistogram(decileBounds)
 	const workers, per = 8, 1000

@@ -9,7 +9,9 @@ import (
 )
 
 // RequestIDHeader is the header the middleware reads an incoming request
-// id from and writes the effective id to on every response.
+// id from and writes the effective id to on every response. The effective
+// id is also set on the request before the wrapped handler runs, so a
+// proxying handler can forward it upstream.
 const RequestIDHeader = "X-Request-ID"
 
 // MiddlewareOptions configure Middleware beyond its registry.
@@ -28,7 +30,7 @@ type MiddlewareOptions struct {
 // logging. It records pmwcm_http_requests_total{route,class} and the
 // pmwcm_http_request_seconds{route} latency histogram, assigns each
 // request an id (echoing a well-formed incoming X-Request-ID, otherwise
-// generating one), and logs at Info/Warn/Error for 2xx-3xx/4xx/5xx.
+// generating one and setting it on the request), and logs at Info/Warn/Error for 2xx-3xx/4xx/5xx.
 //
 // Request ids come from an atomic counter under a start-time-derived
 // prefix — never from the mechanism's (or any) RNG, preserving the
@@ -41,6 +43,9 @@ func Middleware(reg *Registry, next http.Handler, opts MiddlewareOptions) http.H
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := ids.assign(r)
+		if r.Header.Get(RequestIDHeader) != id {
+			r.Header.Set(RequestIDHeader, id)
+		}
 		w.Header().Set(RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)

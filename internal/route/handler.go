@@ -239,8 +239,10 @@ func (rt *Router) do(r *http.Request, rep *replica, body []byte) (int, []byte, e
 	if err != nil {
 		return 0, nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", obs.RequestIDHeader} {
+		if v := r.Header.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
 	}
 	start := time.Now()
 	resp, err := rt.client.Do(req)

@@ -430,3 +430,45 @@ func TestRouterCatalogAndHealth(t *testing.T) {
 		t.Fatalf("healthz %+v", health)
 	}
 }
+
+// TestRouterForwardsRequestID runs the router and a replica each behind
+// obs.Middleware, as pmwcm route and pmwcm serve deploy them: the id the
+// router logs — client-supplied or generated — must be the id the replica
+// handler sees.
+func TestRouterForwardsRequestID(t *testing.T) {
+	seen := make(chan string, 1)
+	replica := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(obs.RequestIDHeader)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{}`)
+	})
+	srv := httptest.NewServer(obs.Middleware(obs.NewRegistry(), replica, obs.MiddlewareOptions{}))
+	t.Cleanup(srv.Close)
+	rt, err := New([]Replica{{Name: "r1", URL: srv.URL}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := obs.Middleware(obs.NewRegistry(), rt.Handler(), obs.MiddlewareOptions{})
+
+	for _, clientID := range []string{"client-id.42", ""} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/sessions/rt-000000000001", nil)
+		if clientID != "" {
+			req.Header.Set(obs.RequestIDHeader, clientID)
+		}
+		rec := httptest.NewRecorder()
+		router.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("id %q: status %d: %s", clientID, rec.Code, rec.Body.String())
+		}
+		routerID := rec.Header().Get(obs.RequestIDHeader)
+		if clientID != "" && routerID != clientID {
+			t.Fatalf("router echoed %q, want the client's %q", routerID, clientID)
+		}
+		if routerID == "" {
+			t.Fatal("router assigned no request id")
+		}
+		if got := <-seen; got != routerID {
+			t.Errorf("client id %q: replica handler saw %q, router used %q", clientID, got, routerID)
+		}
+	}
+}

@@ -143,20 +143,6 @@ func TestUnitVec(t *testing.T) {
 	}
 }
 
-func TestBallVec(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 200; i++ {
-		v := s.BallVec(3, 2)
-		var n2 float64
-		for _, x := range v {
-			n2 += x * x
-		}
-		if n2 > 4+1e-9 {
-			t.Fatalf("BallVec outside radius: ‖v‖² = %v", n2)
-		}
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	s := New(8)
 	w := []float64{1, 0, 3}

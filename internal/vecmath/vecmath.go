@@ -63,26 +63,6 @@ func Norm2(a []float64) float64 {
 	return maxAbs * math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm Σ|aᵢ|.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the L∞ norm max|aᵢ|.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // Dist2 returns ‖a − b‖₂.
 func Dist2(a, b []float64) float64 {
 	checkLen("Dist2", a, b)
@@ -219,23 +199,6 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// LogSumExp returns log Σ exp(aᵢ) computed stably. For an empty slice it
-// returns −Inf (the log of an empty sum).
-func LogSumExp(a []float64) float64 {
-	if len(a) == 0 {
-		return math.Inf(-1)
-	}
-	m, _ := Max(a)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, v := range a {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
 }
 
 // Softmax writes exp(aᵢ)/Σ exp(aⱼ) into dst (allocating when dst is nil)
@@ -403,47 +366,6 @@ func ProjectBox(a []float64, lo, hi float64) []float64 {
 	out := make([]float64, len(a))
 	for i, v := range a {
 		out[i] = Clamp(v, lo, hi)
-	}
-	return out
-}
-
-// ProjectSimplex returns the Euclidean projection of a onto the probability
-// simplex {p : pᵢ ≥ 0, Σpᵢ = 1}, using the sort-based algorithm of
-// Held, Wolfe and Crowder.
-func ProjectSimplex(a []float64) []float64 {
-	n := len(a)
-	if n == 0 {
-		return nil
-	}
-	sorted := Copy(a)
-	// Insertion sort descending; universes here are small enough that the
-	// O(n²) worst case never dominates, and it avoids an interface shim.
-	for i := 1; i < n; i++ {
-		v := sorted[i]
-		j := i - 1
-		for j >= 0 && sorted[j] < v {
-			sorted[j+1] = sorted[j]
-			j--
-		}
-		sorted[j+1] = v
-	}
-	var cum float64
-	var rho int
-	var theta float64
-	for i := 0; i < n; i++ {
-		cum += sorted[i]
-		t := (cum - 1) / float64(i+1)
-		if sorted[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	_ = rho
-	out := make([]float64, n)
-	for i, v := range a {
-		if w := v - theta; w > 0 {
-			out[i] = w
-		}
 	}
 	return out
 }

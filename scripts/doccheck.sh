@@ -17,6 +17,9 @@
 #                         durability claim, so all are held to the
 #                         strictest standard; internal/route joins them
 #                         as the fleet's availability seam)
+#   4. doccheck -metrics: every "pmwcm_…" metric-name literal in non-test
+#                         Go under internal/ and cmd/ appears in
+#                         DESIGN.md's metric table ({a,b} groups expand)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +41,7 @@ for d in internal/*/; do
         *) pkgdoc_args+=(-pkgdoc "${d%/}") ;;
     esac
 done
-go run ./scripts/doccheck "${pkgdoc_args[@]}" \
+go run ./scripts/doccheck -metrics DESIGN.md "${pkgdoc_args[@]}" \
     internal/obs internal/persist internal/route internal/service \
     internal/universe internal/vecmath internal/xeval \
     internal/fault internal/fault/drill

@@ -5,9 +5,13 @@
 //  2. in directories passed with a trailing "...strict" marker removed —
 //     i.e. every directory listed on the command line — every *exported*
 //     top-level symbol (type, function, method, const, var) has a doc
-//     comment.
+//     comment;
+//  3. with -metrics DOC, every "pmwcm_…" metric-name string literal in
+//     non-test Go under internal/ and cmd/ is named in DOC (inside
+//     backticks; {a,b} brace groups expand, so `pmwcm_x_{a,b}` names
+//     pmwcm_x_a and pmwcm_x_b).
 //
-// Usage: doccheck [-pkgdoc dir]... dir...
+// Usage: doccheck [-metrics doc] [-pkgdoc dir]... dir...
 //
 // Positional dirs get the full exported-symbol check; -pkgdoc dirs (may
 // repeat) only need package doc comments. scripts/doccheck.sh wires this
@@ -20,20 +24,27 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
 func main() {
 	var pkgdocOnly multiFlag
 	flag.Var(&pkgdocOnly, "pkgdoc", "directory that only needs a package doc comment (repeatable)")
+	metricsDoc := flag.String("metrics", "", "document that must name every pmwcm_ metric literal under internal/ and cmd/")
 	flag.Parse()
-	if flag.NArg() == 0 && len(pkgdocOnly) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-pkgdoc dir]... dir...")
+	if flag.NArg() == 0 && len(pkgdocOnly) == 0 && *metricsDoc == "" {
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-metrics doc] [-pkgdoc dir]... dir...")
 		os.Exit(2)
 	}
 	var problems []string
+	if *metricsDoc != "" {
+		problems = append(problems, checkMetrics(*metricsDoc, "internal", "cmd")...)
+	}
 	for _, dir := range pkgdocOnly {
 		problems = append(problems, checkDir(dir, false)...)
 	}
@@ -147,4 +158,70 @@ func methodOfUnexported(d *ast.FuncDecl) bool {
 	}
 	id, ok := t.(*ast.Ident)
 	return ok && !id.IsExported()
+}
+
+var (
+	// metricLit matches a metric-name string literal's value.
+	metricLit = regexp.MustCompile(`^pmwcm_[a-z0-9_]+$`)
+	// docMetric matches a backticked metric name (possibly with brace
+	// groups) in the document.
+	docMetric = regexp.MustCompile("`(pmwcm_[a-z0-9_{},]+)`")
+)
+
+// checkMetrics reports every pmwcm_ metric-name literal in non-test Go
+// under roots that doc does not name.
+func checkMetrics(doc string, roots ...string) []string {
+	raw, err := os.ReadFile(doc)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	documented := map[string]bool{}
+	for _, m := range docMetric.FindAllStringSubmatch(string(raw), -1) {
+		for _, name := range expandBraces(m[1]) {
+			documented[name] = true
+		}
+	}
+	var problems []string
+	fset := token.NewFileSet()
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				if name, err := strconv.Unquote(lit.Value); err == nil && metricLit.MatchString(name) && !documented[name] {
+					problems = append(problems, fmt.Sprintf("%s: metric %s is not documented in %s", fset.Position(lit.Pos()), name, doc))
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			problems = append(problems, err.Error())
+		}
+	}
+	return problems
+}
+
+// expandBraces expands {a,b} groups left to right:
+// "x_{a,b}_{c,d}" → x_a_c, x_a_d, x_b_c, x_b_d.
+func expandBraces(s string) []string {
+	i := strings.IndexByte(s, '{')
+	j := strings.IndexByte(s, '}')
+	if i < 0 || j < i {
+		return []string{s}
+	}
+	var out []string
+	for _, alt := range strings.Split(s[i+1:j], ",") {
+		out = append(out, expandBraces(s[:i]+alt+s[j+1:])...)
+	}
+	return out
 }
